@@ -4,34 +4,48 @@
 //! `S* = (Q'_1 … Q'_i)`; the paper's solution uses only `Q'_i` but notes
 //! that seq2seq inputs extend naturally by concatenating the preceding
 //! queries into one sequence (Section 2). [`SessionContext`] implements
-//! that: it accumulates the user's queries and exposes either the last
-//! query or a windowed concatenation as model input.
+//! that: it records the user's queries and exposes either the last
+//! query or a windowed concatenation as model input. Only the queries
+//! inside the window are kept, so a long-lived session costs constant
+//! memory.
 
 use crate::predict::PerKind;
 use crate::recommender::Recommender;
 use qrec_nn::Strategy;
 use qrec_sql::ParseError;
 use qrec_workload::QueryRecord;
+use std::collections::VecDeque;
 
 /// Separator token placed between concatenated queries. Out-of-vocabulary
 /// by construction, so it encodes as `<UNK>` — a consistent boundary
 /// marker for the model.
 pub const SEP_TOKEN: &str = "<SEP>";
 
-/// A live user session: the queries issued so far, oldest first.
-#[derive(Debug, Clone, Default)]
+/// A live user session: the last `window` queries issued, oldest first,
+/// and a count of every query issued.
+#[derive(Debug, Clone)]
 pub struct SessionContext {
-    history: Vec<QueryRecord>,
+    recent: VecDeque<QueryRecord>,
+    pushed: usize,
     window: usize,
+}
+
+impl Default for SessionContext {
+    /// The paper's configuration: a window of one query.
+    fn default() -> Self {
+        SessionContext::new(1)
+    }
 }
 
 impl SessionContext {
     /// A context that feeds models the last `window` queries
     /// (`window = 1` reproduces the paper's configuration).
     pub fn new(window: usize) -> Self {
+        let window = window.max(1);
         SessionContext {
-            history: Vec::new(),
-            window: window.max(1),
+            recent: VecDeque::with_capacity(window),
+            pushed: 0,
+            window,
         }
     }
 
@@ -42,44 +56,42 @@ impl SessionContext {
     /// Returns the parse error if the statement is not valid SQL in the
     /// `qrec` dialect (the session is left unchanged).
     pub fn push_sql(&mut self, sql: &str) -> Result<(), ParseError> {
-        let record = QueryRecord::new(sql)?;
-        self.history.push(record);
+        self.push(QueryRecord::new(sql)?);
         Ok(())
     }
 
-    /// Record an already-parsed query.
+    /// Record an already-parsed query; the oldest query leaves the
+    /// window once it is full.
     pub fn push(&mut self, record: QueryRecord) {
-        self.history.push(record);
+        if self.recent.len() == self.window {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(record);
+        self.pushed += 1;
     }
 
-    /// Number of queries recorded.
+    /// Number of queries recorded, including those that have left the
+    /// window.
     pub fn len(&self) -> usize {
-        self.history.len()
+        self.pushed
     }
 
     /// True if the session has no queries yet.
     pub fn is_empty(&self) -> bool {
-        self.history.is_empty()
+        self.pushed == 0
     }
 
     /// The most recent query, if any.
     pub fn last(&self) -> Option<&QueryRecord> {
-        self.history.last()
-    }
-
-    /// The full history, oldest first.
-    pub fn history(&self) -> &[QueryRecord] {
-        &self.history
+        self.recent.back()
     }
 
     /// The model input tokens: the last `window` queries concatenated
     /// with [`SEP_TOKEN`] boundaries (just the last query when
     /// `window = 1`).
     pub fn input_tokens(&self) -> Vec<String> {
-        let n = self.history.len();
-        let start = n.saturating_sub(self.window);
         let mut out = Vec::new();
-        for (i, q) in self.history[start..].iter().enumerate() {
+        for (i, q) in self.recent.iter().enumerate() {
             if i > 0 {
                 out.push(SEP_TOKEN.to_string());
             }
@@ -97,7 +109,7 @@ impl SessionContext {
         n: usize,
         strategy: Strategy,
     ) -> Option<PerKind<Vec<String>>> {
-        if self.history.is_empty() {
+        if self.is_empty() {
             return None;
         }
         let tokens = self.input_tokens();
@@ -143,6 +155,47 @@ mod tests {
         ctx.push_sql("SELECT a FROM t").unwrap();
         assert!(ctx.push_sql("NOT SQL").is_err());
         assert_eq!(ctx.len(), 1);
+    }
+
+    /// The unbounded reference: concatenate the last `window` of every
+    /// query ever pushed.
+    fn unbounded_tokens(all: &[QueryRecord], window: usize) -> Vec<String> {
+        let start = all.len().saturating_sub(window);
+        let mut out = Vec::new();
+        for (i, q) in all[start..].iter().enumerate() {
+            if i > 0 {
+                out.push(SEP_TOKEN.to_string());
+            }
+            out.extend(q.tokens.iter().cloned());
+        }
+        out
+    }
+
+    #[test]
+    fn long_sessions_retain_only_the_window() {
+        let queries: Vec<QueryRecord> = [
+            "SELECT a FROM t",
+            "SELECT b FROM u WHERE c = 1",
+            "SELECT d, e FROM v",
+            "SELECT COUNT(f) FROM w",
+        ]
+        .iter()
+        .map(|sql| QueryRecord::new(sql).unwrap())
+        .collect();
+        let mut ctx = SessionContext::new(3);
+        let mut all = Vec::new();
+        for i in 0..10_000 {
+            let q = queries[(i * 7 + i / 3) % queries.len()].clone();
+            all.push(q.clone());
+            ctx.push(q);
+            if i % 997 == 0 {
+                assert_eq!(ctx.input_tokens(), unbounded_tokens(&all, 3));
+            }
+        }
+        assert_eq!(ctx.len(), 10_000);
+        assert_eq!(ctx.recent.len(), 3);
+        assert_eq!(ctx.input_tokens(), unbounded_tokens(&all, 3));
+        assert_eq!(ctx.last(), all.last());
     }
 
     #[test]

@@ -7,13 +7,19 @@
 //! the encoder's original ids (Section 4.1.2).
 //!
 //! During a forward pass a [`Binding`] lazily registers each referenced
-//! parameter as a graph leaf exactly once per graph, so a mini-batch of
-//! sequences shares one leaf per parameter and gradients accumulate
-//! across the batch for free.
+//! parameter as a graph leaf exactly once per graph. Leaves share the
+//! store's weight tensors (no copy per graph); the optimizer writes
+//! through copy-on-write once every graph of the step has been dropped.
+//!
+//! Training splits each example into [`forward_train`], which builds the
+//! graph and is the only consumer of the dropout RNG, and
+//! [`Tape::backward`], which may run on another thread and yields the
+//! example's [`LeafGrads`] for [`Params::add_grads`].
 
 use qrec_tensor::{Graph, NodeId, Tensor};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Handle to one parameter tensor in a [`Params`] store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -29,7 +35,7 @@ pub struct ParamId(pub(crate) usize);
 /// sections) rather than round-tripped.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Params {
-    data: Vec<Tensor>,
+    data: Vec<Arc<Tensor>>,
     grad: Vec<Tensor>,
     names: Vec<String>,
     #[serde(default)]
@@ -46,7 +52,7 @@ impl Params {
     pub fn add(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
         let id = ParamId(self.data.len());
         self.grad.push(Tensor::zeros(value.rows(), value.cols()));
-        self.data.push(value);
+        self.data.push(Arc::new(value));
         self.names.push(name.into());
         id
     }
@@ -71,9 +77,10 @@ impl Params {
         &self.data[id.0]
     }
 
-    /// Mutable value (used by optimizers and tests).
+    /// Mutable value (used by optimizers and tests). Copies the tensor
+    /// first if a live graph or a cloned store still shares it.
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.data[id.0]
+        Arc::make_mut(&mut self.data[id.0])
     }
 
     /// The accumulated gradient of a parameter.
@@ -86,6 +93,25 @@ impl Params {
         &self.names[id.0]
     }
 
+    /// A store sharing this one's weight tensors (no copy) without
+    /// gradient buffers: a read-only view for forward passes on other
+    /// threads and for weight snapshots. Gradient reads on it panic.
+    pub fn share_weights(&self) -> Params {
+        Params {
+            data: self.data.clone(),
+            grad: Vec::new(),
+            names: self.names.clone(),
+            quant: self.quant.clone(),
+        }
+    }
+
+    /// Take the weights of `snapshot`, a [`Params::share_weights`] view
+    /// of this store, keeping this store's gradient buffers.
+    pub fn load_weights(&mut self, snapshot: Params) {
+        self.data = snapshot.data;
+        self.quant = snapshot.quant;
+    }
+
     /// Zero every gradient buffer (start of an optimizer step).
     pub fn zero_grad(&mut self) {
         for g in &mut self.grad {
@@ -93,21 +119,24 @@ impl Params {
         }
     }
 
-    /// Pull gradients out of a finished graph into the store's buffers.
-    /// Call after [`Graph::backward`].
-    pub fn accumulate_grads(&mut self, graph: &Graph, binding: &Binding) {
-        for (i, node) in binding.nodes.iter().enumerate() {
-            if let Some(node) = node {
-                if let Some(g) = graph.grad(*node) {
-                    self.grad[i].add_assign(g);
-                }
+    /// Add one example's gradients into the store's buffers, in
+    /// parameter-id order.
+    pub fn add_grads(&mut self, grads: &LeafGrads) {
+        for (acc, g) in self.grad.iter_mut().zip(&grads.0) {
+            if let Some(g) = g {
+                acc.add_assign(g);
             }
         }
     }
 
-    /// Iterate `(id, value, grad)` triples (optimizer internals).
+    /// Iterate `(value, grad)` pairs (optimizer internals). Values are
+    /// written copy-on-write, so a store cloned earlier keeps its
+    /// weights.
     pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (&mut Tensor, &Tensor)> {
-        self.data.iter_mut().zip(self.grad.iter())
+        self.data
+            .iter_mut()
+            .map(Arc::make_mut)
+            .zip(self.grad.iter())
     }
 
     /// Iterate `(name, value)` pairs in id order — the serialisation
@@ -115,7 +144,10 @@ impl Params {
     /// rebuilt by feeding this iterator's output to
     /// [`Params::from_named_tensors`] preserves every [`ParamId`].
     pub fn named_tensors(&self) -> impl Iterator<Item = (&str, &Tensor)> {
-        self.names.iter().map(String::as_str).zip(self.data.iter())
+        self.names
+            .iter()
+            .map(String::as_str)
+            .zip(self.data.iter().map(|t| &**t))
     }
 
     /// Rebuild a store from `(name, value)` pairs in id order (the
@@ -205,12 +237,13 @@ pub struct Fwd<'a> {
 }
 
 impl Fwd<'_> {
-    /// The graph leaf for a parameter, registering it on first use.
+    /// The graph leaf for a parameter, registering it on first use. The
+    /// leaf shares the store's tensor rather than copying it.
     pub fn param(&mut self, id: ParamId) -> NodeId {
         if let Some(node) = self.bind.nodes[id.0] {
             return node;
         }
-        let node = self.graph.input(self.params.value(id).clone());
+        let node = self.graph.input_shared(Arc::clone(&self.params.data[id.0]));
         self.bind.nodes[id.0] = Some(node);
         node
     }
@@ -228,6 +261,48 @@ impl Fwd<'_> {
     }
 }
 
+/// One example's parameter gradients, indexed by [`ParamId`] (`None`
+/// where no gradient reached the parameter).
+#[derive(Debug)]
+pub struct LeafGrads(Vec<Option<Tensor>>);
+
+/// A training forward pass awaiting its backward pass. It owns its graph
+/// and shares the weights, so it can be sent to another thread.
+pub struct Tape {
+    graph: Graph,
+    bind: Binding,
+    loss: NodeId,
+}
+
+impl Tape {
+    /// Backpropagate from the loss and take the parameter gradients;
+    /// the graph is consumed.
+    pub fn backward(self) -> LeafGrads {
+        LeafGrads(self.graph.into_grads(self.loss, self.bind.nodes))
+    }
+}
+
+/// Run a training-mode forward pass (dropout on): build a graph with `f`
+/// and return the scalar loss `f` produced with the tape to
+/// backpropagate it.
+pub fn forward_train(
+    params: &Params,
+    rng: &mut StdRng,
+    f: impl FnOnce(&mut Fwd<'_>) -> NodeId,
+) -> (f32, Tape) {
+    let mut graph = Graph::new();
+    let mut bind = Binding::new(params.len());
+    let loss = f(&mut Fwd {
+        graph: &mut graph,
+        params,
+        bind: &mut bind,
+        rng,
+        training: true,
+    });
+    let loss_val = graph.value(loss).item();
+    (loss_val, Tape { graph, bind, loss })
+}
+
 /// Run one forward-backward pass: build a graph with `f`, backprop from
 /// the scalar loss `f` returns, and accumulate parameter gradients.
 /// Returns the loss value.
@@ -236,22 +311,9 @@ pub fn forward_backward(
     rng: &mut StdRng,
     f: impl FnOnce(&mut Fwd<'_>) -> NodeId,
 ) -> f32 {
-    let mut graph = Graph::new();
-    let mut bind = Binding::new(params.len());
-    let loss = {
-        let mut fwd = Fwd {
-            graph: &mut graph,
-            params,
-            bind: &mut bind,
-            rng,
-            training: true,
-        };
-        f(&mut fwd)
-    };
-    let loss_val = graph.value(loss).item();
-    graph.backward(loss);
-    params.accumulate_grads(&graph, &bind);
-    loss_val
+    let (loss, tape) = forward_train(params, rng, f);
+    params.add_grads(&tape.backward());
+    loss
 }
 
 /// Run a forward pass without gradients (evaluation / inference).
@@ -300,6 +362,41 @@ mod tests {
         assert_eq!(rebuilt.value(a).data(), p.value(a).data());
         assert_eq!(rebuilt.value(b).data(), p.value(b).data());
         assert_eq!(rebuilt.grad(a).data(), vec![0.0; 4], "grads start zeroed");
+    }
+
+    #[test]
+    fn serialized_form_is_the_plain_tensor_list() {
+        let mut p = Params::new();
+        p.add("w", Tensor::from_vec(1, 2, vec![1.5, -2.0]));
+        let json = serde_json::to_string(&p).unwrap();
+        assert_eq!(
+            json,
+            r#"{"data":[{"rows":1,"cols":2,"data":[1.5,-2.0]}],"grad":[{"rows":1,"cols":2,"data":[0.0,0.0]}],"names":["w"],"quant":null}"#
+        );
+        let back: Params = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.value(ParamId(0)).data(), &[1.5, -2.0]);
+    }
+
+    #[test]
+    fn leaves_share_weights_and_snapshots_copy_on_write() {
+        let mut p = Params::new();
+        let w = p.add("w", Tensor::scalar(2.0));
+        let mut rng = StdRng::seed_from_u64(0);
+        let (_, tape) = forward_train(&p, &mut rng, |fwd| {
+            let wn = fwd.param(w);
+            let node = fwd.graph.mul(wn, wn);
+            assert!(Arc::ptr_eq(&fwd.graph.value_shared(wn), &p.data[0]));
+            node
+        });
+        p.add_grads(&tape.backward());
+        assert_eq!(p.grad(w).item(), 4.0);
+
+        let snapshot = p.share_weights();
+        *p.value_mut(w) = Tensor::scalar(3.0);
+        assert_eq!(snapshot.value(w).item(), 2.0, "snapshot kept its weights");
+        p.load_weights(snapshot);
+        assert_eq!(p.value(w).item(), 2.0);
+        assert_eq!(p.grad(w).item(), 4.0, "gradients survive a weight load");
     }
 
     #[test]

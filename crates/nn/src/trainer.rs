@@ -4,9 +4,11 @@
 
 use crate::adam::{Adam, AdamConfig};
 use crate::classifier::{classify_logits, ClassifierHead};
-use crate::params::{forward_backward, forward_eval, Params};
+use crate::params::{forward_eval, forward_train, Fwd, Params};
 use crate::schedule::LrSchedule;
 use crate::seq2seq::Seq2Seq;
+use qrec_tensor::pool::{Ordered, Pool};
+use qrec_tensor::NodeId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -145,9 +147,8 @@ impl std::fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
-/// One epoch's closing bookkeeping, shared by both training loops: bump
-/// the process-wide counters, record the epoch duration, and append the
-/// telemetry row.
+/// One epoch's closing bookkeeping: bump the process-wide counters,
+/// record the epoch duration, and append the telemetry row.
 fn finish_epoch(
     epochs: &mut Vec<EpochReport>,
     epoch: usize,
@@ -187,12 +188,13 @@ fn validate_training(cfg: &TrainConfig, train_len: usize) -> Result<(), TrainErr
 }
 
 /// Train a seq2seq model on query pairs; restores the weights of the
-/// best validation epoch before returning.
+/// best validation epoch before returning (with an empty `val`, keeps
+/// the last epoch's weights).
 ///
 /// Panics on a degenerate configuration; use [`try_train_seq2seq`] for a
 /// typed error instead.
 #[must_use]
-pub fn train_seq2seq<M: Seq2Seq>(
+pub fn train_seq2seq<M: Seq2Seq + Clone + Send + Sync + 'static>(
     model: &M,
     params: &mut Params,
     train: &[EncodedPair],
@@ -207,12 +209,48 @@ pub fn train_seq2seq<M: Seq2Seq>(
 /// Fallible variant of [`train_seq2seq`]: rejects zero-epoch configs and
 /// empty training sets up front instead of returning a report with an
 /// empty `epoch_losses` that callers would `unwrap` on.
-pub fn try_train_seq2seq<M: Seq2Seq>(
+pub fn try_train_seq2seq<M: Seq2Seq + Clone + Send + Sync + 'static>(
     model: &M,
     params: &mut Params,
     train: &[EncodedPair],
     val: &[EncodedPair],
     cfg: &TrainConfig,
+) -> Result<TrainReport, TrainError> {
+    run_training(
+        params,
+        train,
+        !val.is_empty(),
+        cfg,
+        |pair| pair.tgt.len().saturating_sub(1),
+        |fwd, pair| seq2seq_loss(model, fwd, pair),
+        |params| eval_seq2seq(model, params, val, cfg.seed),
+    )
+}
+
+/// Teacher-forced cross-entropy of one pair.
+fn seq2seq_loss<M: Seq2Seq>(model: &M, fwd: &mut Fwd<'_>, pair: &EncodedPair) -> NodeId {
+    let enc = model.encode(fwd, &pair.src);
+    let tgt_in = &pair.tgt[..pair.tgt.len() - 1];
+    let tgt_out = &pair.tgt[1..];
+    let logits = model.decode(fwd, enc, tgt_in);
+    // The decoder may truncate very long targets to its max_len; align
+    // the target slice with the logits it actually produced.
+    let rows = fwd.graph.value(logits).rows();
+    fwd.graph.cross_entropy(logits, &tgt_out[..rows])
+}
+
+/// The epoch loop both trainers share: shuffle, run the mini-batches,
+/// step Adam, validate, and keep the best-validation weights (the last
+/// epoch's when there is no validation data, which also never stops
+/// early).
+fn run_training<T>(
+    params: &mut Params,
+    train: &[T],
+    has_val: bool,
+    cfg: &TrainConfig,
+    tokens: impl Fn(&T) -> usize,
+    loss: impl Fn(&mut Fwd<'_>, &T) -> NodeId,
+    validate: impl Fn(&Params) -> f32,
 ) -> Result<TrainReport, TrainError> {
     validate_training(cfg, train.len())?;
     let start = Instant::now();
@@ -235,20 +273,9 @@ pub fn try_train_seq2seq<M: Seq2Seq>(
         let mut train_loss = 0.0f64;
         let mut batches = 0usize;
         for chunk in order.chunks(cfg.batch_size.max(1)) {
-            let mut batch_loss = 0.0f32;
-            for &i in chunk {
-                let pair = &train[i];
-                epoch_tokens += pair.tgt.len().saturating_sub(1);
-                let loss = forward_backward(params, &mut rng, |fwd| {
-                    let enc = model.encode(fwd, &pair.src);
-                    let tgt_in = &pair.tgt[..pair.tgt.len() - 1];
-                    let tgt_out = &pair.tgt[1..];
-                    let logits = model.decode(fwd, enc, tgt_in);
-                    let rows = logits_rows(fwd, logits);
-                    fwd.graph.cross_entropy(logits, &tgt_out[..rows])
-                });
-                batch_loss += loss;
-            }
+            let batch = chunk.iter().map(|&i| &train[i]);
+            epoch_tokens += batch.clone().map(&tokens).sum::<usize>();
+            let batch_loss = run_batch(params, &mut rng, batch, &loss);
             adam.set_lr(cfg.schedule.lr(base_lr, global_step));
             global_step += 1;
             last_grad_norm = params.grad_norm();
@@ -257,7 +284,7 @@ pub fn try_train_seq2seq<M: Seq2Seq>(
             batches += 1;
         }
         let train_loss = (train_loss / batches.max(1) as f64) as f32;
-        let val_loss = eval_seq2seq(model, params, val, cfg.seed);
+        let val_loss = validate(params);
         epoch_losses.push((train_loss, val_loss));
         finish_epoch(
             &mut epochs,
@@ -269,9 +296,13 @@ pub fn try_train_seq2seq<M: Seq2Seq>(
             epoch_start,
         );
 
+        if !has_val {
+            best_epoch = epoch;
+            continue;
+        }
         let improved = best.as_ref().is_none_or(|(b, _)| val_loss < *b);
         if improved {
-            best = Some((val_loss, params.clone()));
+            best = Some((val_loss, params.share_weights()));
             best_epoch = epoch;
         } else if cfg.patience > 0 && epoch - best_epoch >= cfg.patience {
             early_stopped = true;
@@ -279,7 +310,7 @@ pub fn try_train_seq2seq<M: Seq2Seq>(
         }
     }
     if let Some((_, best_params)) = best {
-        *params = best_params;
+        params.load_weights(best_params);
     }
     Ok(TrainReport {
         epoch_losses,
@@ -290,37 +321,87 @@ pub fn try_train_seq2seq<M: Seq2Seq>(
     })
 }
 
-// The decoder may truncate very long targets to its max_len; align the
-// target slice with the logits it actually produced.
-fn logits_rows(fwd: &mut crate::params::Fwd<'_>, logits: qrec_tensor::NodeId) -> usize {
-    fwd.graph.value(logits).rows()
+/// One mini-batch; returns its summed loss and leaves the summed
+/// gradients in `params`.
+///
+/// Forward passes run on this thread in example order: it is the only
+/// consumer of the dropout RNG, so masks are drawn as in a serial loop.
+/// Each finished graph's backward pass fans out over the compute pool
+/// (at most pool width + 1 graphs in flight), and each example's
+/// gradients are added into `params` in example order, so the optimizer
+/// sees bitwise the sums a serial loop produces.
+fn run_batch<'a, T: 'a>(
+    params: &mut Params,
+    rng: &mut StdRng,
+    batch: impl Iterator<Item = &'a T>,
+    loss: &impl Fn(&mut Fwd<'_>, &T) -> NodeId,
+) -> f32 {
+    let mut backward = Ordered::new(Pool::global());
+    let mut batch_loss = 0.0f32;
+    for ex in batch {
+        // Add gradients as examples finish, in order; block only when
+        // the in-flight cap is reached.
+        while let Some(grads) = backward.try_pop() {
+            params.add_grads(&grads);
+        }
+        if backward.in_flight() > backward.width() {
+            if let Some(grads) = backward.pop() {
+                params.add_grads(&grads);
+            }
+        }
+        let (value, tape) = forward_train(params, rng, |fwd| loss(fwd, ex));
+        batch_loss += value;
+        backward.push(move || tape.backward());
+    }
+    while let Some(grads) = backward.pop() {
+        params.add_grads(&grads);
+    }
+    batch_loss
 }
 
-/// Mean validation loss of a seq2seq model (no gradients).
-pub fn eval_seq2seq<M: Seq2Seq>(
+/// Mean eval-mode loss over `data`. Eval mode draws no RNG, so each
+/// forward pass runs on its own over the compute pool; the losses are
+/// summed in data order.
+fn mean_eval_loss<T: Clone + Send + 'static>(
+    params: &Params,
+    data: &[T],
+    seed: u64,
+    loss: impl Fn(&mut Fwd<'_>, &T) -> NodeId + Send + Sync + 'static,
+) -> f32 {
+    if data.is_empty() {
+        return f32::INFINITY;
+    }
+    let params = Arc::new(params.share_weights());
+    let loss = Arc::new(loss);
+    let mut forwards = Ordered::new(Pool::global());
+    for ex in data {
+        let (params, loss, ex) = (Arc::clone(&params), Arc::clone(&loss), ex.clone());
+        forwards.push(move || {
+            forward_eval(&params, &mut StdRng::seed_from_u64(seed), |fwd| {
+                let node = loss(fwd, &ex);
+                fwd.graph.value(node).item()
+            })
+        });
+    }
+    let mut total = 0.0f64;
+    while let Some(value) = forwards.pop() {
+        total += value as f64;
+    }
+    (total / data.len() as f64) as f32
+}
+
+/// Mean validation loss of a seq2seq model (no gradients); infinite for
+/// an empty set.
+pub fn eval_seq2seq<M: Seq2Seq + Clone + Send + Sync + 'static>(
     model: &M,
     params: &Params,
     pairs: &[EncodedPair],
     seed: u64,
 ) -> f32 {
-    if pairs.is_empty() {
-        return f32::INFINITY;
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut total = 0.0f64;
-    for pair in pairs {
-        let loss = forward_eval(params, &mut rng, |fwd| {
-            let enc = model.encode(fwd, &pair.src);
-            let tgt_in = &pair.tgt[..pair.tgt.len() - 1];
-            let tgt_out = &pair.tgt[1..];
-            let logits = model.decode(fwd, enc, tgt_in);
-            let rows = fwd.graph.value(logits).rows();
-            let loss = fwd.graph.cross_entropy(logits, &tgt_out[..rows]);
-            fwd.graph.value(loss).item()
-        });
-        total += loss as f64;
-    }
-    (total / pairs.len() as f64) as f32
+    let model = model.clone();
+    mean_eval_loss(params, pairs, seed, move |fwd, pair| {
+        seq2seq_loss(&model, fwd, pair)
+    })
 }
 
 /// A labelled classification example.
@@ -333,12 +414,13 @@ pub struct LabeledSeq {
 }
 
 /// Train a template classifier (encoder + head) on labelled sequences;
-/// restores the best-validation weights before returning.
+/// restores the best-validation weights before returning (with an empty
+/// `val`, keeps the last epoch's weights).
 ///
 /// Panics on a degenerate configuration; use [`try_train_classifier`]
 /// for a typed error instead.
 #[must_use]
-pub fn train_classifier<M: Seq2Seq>(
+pub fn train_classifier<M: Seq2Seq + Clone + Send + Sync + 'static>(
     model: &M,
     head: &ClassifierHead,
     params: &mut Params,
@@ -352,7 +434,7 @@ pub fn train_classifier<M: Seq2Seq>(
 }
 
 /// Fallible variant of [`train_classifier`].
-pub fn try_train_classifier<M: Seq2Seq>(
+pub fn try_train_classifier<M: Seq2Seq + Clone + Send + Sync + 'static>(
     model: &M,
     head: &ClassifierHead,
     params: &mut Params,
@@ -360,100 +442,40 @@ pub fn try_train_classifier<M: Seq2Seq>(
     val: &[LabeledSeq],
     cfg: &TrainConfig,
 ) -> Result<TrainReport, TrainError> {
-    validate_training(cfg, train.len())?;
-    let start = Instant::now();
-    let mut adam = Adam::new(cfg.adam, params);
-    let base_lr = cfg.adam.lr;
-    let mut global_step = 0u64;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut order: Vec<usize> = (0..train.len()).collect();
-    let mut best: Option<(f32, Params)> = None;
-    let mut best_epoch = 0usize;
-    let mut epoch_losses = Vec::new();
-    let mut epochs = Vec::new();
-    let mut early_stopped = false;
-
-    for epoch in 0..cfg.epochs {
-        order.shuffle(&mut rng);
-        let epoch_start = Instant::now();
-        let mut epoch_tokens = 0usize;
-        let mut last_grad_norm = 0.0f32;
-        let mut train_loss = 0.0f64;
-        let mut batches = 0usize;
-        for chunk in order.chunks(cfg.batch_size.max(1)) {
-            let mut batch_loss = 0.0f32;
-            for &i in chunk {
-                let ex = &train[i];
-                epoch_tokens += ex.src.len();
-                let loss = forward_backward(params, &mut rng, |fwd| {
-                    let logits = classify_logits(model, head, fwd, &ex.src);
-                    fwd.graph.cross_entropy(logits, &[ex.label])
-                });
-                batch_loss += loss;
-            }
-            adam.set_lr(cfg.schedule.lr(base_lr, global_step));
-            global_step += 1;
-            last_grad_norm = params.grad_norm();
-            adam.step(params, 1.0 / chunk.len() as f32);
-            train_loss += (batch_loss / chunk.len() as f32) as f64;
-            batches += 1;
-        }
-        let train_loss = (train_loss / batches.max(1) as f64) as f32;
-        let val_loss = eval_classifier(model, head, params, val, cfg.seed);
-        epoch_losses.push((train_loss, val_loss));
-        finish_epoch(
-            &mut epochs,
-            epoch,
-            train_loss,
-            val_loss,
-            last_grad_norm,
-            epoch_tokens,
-            epoch_start,
-        );
-
-        let improved = best.as_ref().is_none_or(|(b, _)| val_loss < *b);
-        if improved {
-            best = Some((val_loss, params.clone()));
-            best_epoch = epoch;
-        } else if cfg.patience > 0 && epoch - best_epoch >= cfg.patience {
-            early_stopped = true;
-            break;
-        }
-    }
-    if let Some((_, best_params)) = best {
-        *params = best_params;
-    }
-    Ok(TrainReport {
-        epoch_losses,
-        best_epoch,
-        train_time: start.elapsed(),
-        early_stopped,
-        epochs,
-    })
+    run_training(
+        params,
+        train,
+        !val.is_empty(),
+        cfg,
+        |ex| ex.src.len(),
+        |fwd, ex| classifier_loss(model, head, fwd, ex),
+        |params| eval_classifier(model, head, params, val, cfg.seed),
+    )
 }
 
-/// Mean validation loss of a classifier.
-pub fn eval_classifier<M: Seq2Seq>(
+/// Cross-entropy of one labelled sequence.
+fn classifier_loss<M: Seq2Seq>(
+    model: &M,
+    head: &ClassifierHead,
+    fwd: &mut Fwd<'_>,
+    ex: &LabeledSeq,
+) -> NodeId {
+    let logits = classify_logits(model, head, fwd, &ex.src);
+    fwd.graph.cross_entropy(logits, &[ex.label])
+}
+
+/// Mean validation loss of a classifier; infinite for an empty set.
+pub fn eval_classifier<M: Seq2Seq + Clone + Send + Sync + 'static>(
     model: &M,
     head: &ClassifierHead,
     params: &Params,
     data: &[LabeledSeq],
     seed: u64,
 ) -> f32 {
-    if data.is_empty() {
-        return f32::INFINITY;
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut total = 0.0f64;
-    for ex in data {
-        let loss = forward_eval(params, &mut rng, |fwd| {
-            let logits = classify_logits(model, head, fwd, &ex.src);
-            let loss = fwd.graph.cross_entropy(logits, &[ex.label]);
-            fwd.graph.value(loss).item()
-        });
-        total += loss as f64;
-    }
-    (total / data.len() as f64) as f32
+    let (model, head) = (model.clone(), head.clone());
+    mean_eval_loss(params, data, seed, move |fwd, ex| {
+        classifier_loss(&model, &head, fwd, ex)
+    })
 }
 
 #[cfg(test)]
@@ -616,6 +638,79 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let model = Transformer::new(&mut params, TransformerConfig::test(12), &mut rng);
         assert!(eval_seq2seq(&model, &params, &[], 0).is_infinite());
+    }
+
+    fn weights(params: &Params) -> Vec<Vec<f32>> {
+        params
+            .named_tensors()
+            .map(|(_, t)| t.data().to_vec())
+            .collect()
+    }
+
+    /// Without validation data every epoch's loss is infinite; training
+    /// must neither stop early nor roll back to the epoch-0 weights.
+    #[test]
+    fn seq2seq_without_validation_keeps_last_epoch() {
+        let pairs = copy_pairs();
+        let run = |epochs: usize| {
+            let mut params = Params::new();
+            let mut rng = StdRng::seed_from_u64(1);
+            let model = Transformer::new(&mut params, TransformerConfig::test(12), &mut rng);
+            let cfg = TrainConfig {
+                epochs,
+                batch_size: 2,
+                patience: 1,
+                seed: 3,
+                ..TrainConfig::default()
+            };
+            let report = try_train_seq2seq(&model, &mut params, &pairs, &[], &cfg).unwrap();
+            (report, weights(&params))
+        };
+        let (first, after_one) = run(1);
+        assert_eq!(first.best_epoch, 0);
+        let (report, after_three) = run(3);
+        assert_eq!(report.epoch_losses.len(), 3);
+        assert!(!report.early_stopped);
+        assert_eq!(report.best_epoch, 2);
+        assert!(report.epoch_losses.iter().all(|e| e.1.is_infinite()));
+        assert_ne!(after_three, after_one, "epoch-0 weights were restored");
+    }
+
+    #[test]
+    fn classifier_without_validation_keeps_last_epoch() {
+        let data = vec![
+            LabeledSeq {
+                src: vec![1, 4, 6, 2],
+                label: 0,
+            },
+            LabeledSeq {
+                src: vec![1, 5, 6, 2],
+                label: 1,
+            },
+        ];
+        let run = |epochs: usize| {
+            let mut params = Params::new();
+            let mut rng = StdRng::seed_from_u64(3);
+            let model = Transformer::new(&mut params, TransformerConfig::test(12), &mut rng);
+            let head =
+                crate::classifier::ClassifierHead::new(&mut params, 16, 16, 2, 0.0, &mut rng);
+            let cfg = TrainConfig {
+                epochs,
+                batch_size: 2,
+                patience: 1,
+                seed: 4,
+                ..TrainConfig::default()
+            };
+            let report =
+                try_train_classifier(&model, &head, &mut params, &data, &[], &cfg).unwrap();
+            (report, weights(&params))
+        };
+        let (_, after_one) = run(1);
+        let (report, after_three) = run(3);
+        assert_eq!(report.epoch_losses.len(), 3);
+        assert!(!report.early_stopped);
+        assert_eq!(report.best_epoch, 2);
+        assert_ne!(after_three, after_one, "epoch-0 weights were restored");
     }
 
     #[test]

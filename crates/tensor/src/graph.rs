@@ -4,7 +4,9 @@
 //! walks the tape in reverse and accumulates gradients into every node.
 //! Leaf nodes created with [`Graph::input`] keep their gradients after the
 //! pass (read them with [`Graph::grad`]); internal-node gradients are
-//! dropped as soon as they have been propagated.
+//! dropped as soon as they have been propagated. [`Graph::into_grads`]
+//! is the consuming variant for training, which also drops each internal
+//! node's value once the sweep has passed it.
 //!
 //! The design is an arena tape: nodes are indexed by [`NodeId`], each op
 //! pushes a value and a boxed backward closure. A graph is built per
@@ -12,7 +14,13 @@
 //! exactly the life cycle of seq2seq training at the paper's scale.
 
 use crate::tensor::Tensor;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// The placeholder a released node value points at.
+fn released() -> &'static Arc<Tensor> {
+    static EMPTY: OnceLock<Arc<Tensor>> = OnceLock::new();
+    EMPTY.get_or_init(|| Arc::new(Tensor::zeros(0, 0)))
+}
 
 /// Handle to a node in a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,15 +41,18 @@ impl GradStore<'_> {
     }
 }
 
-type BackFn = Box<dyn FnOnce(&Tensor, &[Arc<Tensor>], &mut GradStore<'_>)>;
+type BackFn = Box<dyn FnOnce(&Tensor, &[Arc<Tensor>], &mut GradStore<'_>) + Send>;
 
 /// A single-use reverse-mode autodiff tape.
 ///
 /// Node values are held as `Arc<Tensor>` so callers that reuse a value
 /// across many graphs (the beam-search decoder re-feeding the encoder
-/// output every step) can share one allocation via
-/// [`Graph::input_shared`] / [`Graph::value_shared`] instead of cloning
-/// the tensor data.
+/// output every step, every training example binding the same weights)
+/// can share one allocation via [`Graph::input_shared`] /
+/// [`Graph::value_shared`] instead of cloning the tensor data.
+///
+/// A graph is `Send`: the trainer builds it on one thread and runs its
+/// backward pass on a compute-pool worker.
 #[derive(Default)]
 pub struct Graph {
     values: Vec<Arc<Tensor>>,
@@ -110,6 +121,30 @@ impl Graph {
     ///
     /// Panics if `loss` is not scalar-shaped.
     pub fn backward(&mut self, loss: NodeId) {
+        self.sweep(loss, false);
+    }
+
+    /// Run the backward pass from `loss`, consuming the graph, and
+    /// return the gradients of `leaves` in order (`None` for a leaf no
+    /// gradient reached). Each internal value is dropped as soon as the
+    /// sweep has passed it, so memory falls during the pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loss` is not scalar-shaped.
+    pub fn into_grads(
+        mut self,
+        loss: NodeId,
+        leaves: impl IntoIterator<Item = Option<NodeId>>,
+    ) -> Vec<Option<Tensor>> {
+        self.sweep(loss, true);
+        leaves
+            .into_iter()
+            .map(|leaf| leaf.and_then(|id| self.grads[id.0].take()))
+            .collect()
+    }
+
+    fn sweep(&mut self, loss: NodeId, release: bool) {
         assert_eq!(
             self.values[loss.0].shape(),
             (1, 1),
@@ -127,6 +162,11 @@ impl Graph {
                 grads: &mut self.grads,
             };
             back(&g, &self.values, &mut store);
+            if release {
+                // Only this node's own closure and those of later nodes
+                // (already run) read its value.
+                self.values[i] = Arc::clone(released());
+            }
         }
     }
 
@@ -959,6 +999,35 @@ mod tests {
         let y = g.add(x, x);
         g.backward(y);
         assert_eq!(g.grad(x).unwrap().item(), 2.0);
+    }
+
+    #[test]
+    fn into_grads_matches_backward_and_the_graph_is_send() {
+        fn assert_send<T: Send>(_: &T) {}
+        let build = || {
+            let mut g = Graph::new();
+            let x = g.input(sample(4, 4, 90));
+            let w = g.input(sample(4, 3, 91));
+            let unused = g.input(sample(1, 1, 92));
+            let h = g.matmul(x, w);
+            let h = g.tanh(h);
+            let loss = g.cross_entropy(h, &[0, 1, 2, 1]);
+            (g, [Some(x), Some(w), Some(unused), None], loss)
+        };
+        let (mut g, leaves, loss) = build();
+        g.backward(loss);
+        let want: Vec<Option<Tensor>> = leaves
+            .iter()
+            .map(|l| l.and_then(|id| g.grad(id).cloned()))
+            .collect();
+        let (g, leaves, loss) = build();
+        assert_send(&g);
+        let got = std::thread::spawn(move || g.into_grads(loss, leaves))
+            .join()
+            .unwrap();
+        assert_eq!(got, want);
+        assert!(got[0].is_some() && got[1].is_some());
+        assert!(got[2].is_none() && got[3].is_none());
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! The global pool is sized by the `QREC_THREADS` environment variable,
 //! read once at first use; unset, empty, unparsable, or `0` falls back
 //! to [`std::thread::available_parallelism`]. `QREC_THREADS=1` keeps
-//! every kernel on the caller thread (the pool still exists but the
-//! kernel's threshold logic never splits work for it).
+//! every kernel and every [`Ordered`] fan-out on the caller thread (the
+//! pool still exists but nothing splits work for it).
 //!
 //! ## Determinism
 //!
@@ -31,11 +31,17 @@
 //! worker picks them up. Determinism of parallel kernels is the
 //! *kernel's* contract: work is partitioned into ranges whose per-element
 //! arithmetic is independent of the partition (see `crate::kernel`), so
-//! any interleaving produces bitwise-identical output.
+//! any interleaving produces bitwise-identical output. Coarser work —
+//! the trainer's per-example backward passes — goes through [`Ordered`],
+//! which hands results back in submission order so the caller's fold
+//! over them never depends on which thread ran what.
 
 use crossbeam::channel::{self, Receiver, Sender};
+use std::collections::VecDeque;
 use std::env;
-use std::sync::OnceLock;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread;
 
 /// A unit of work executed on a worker thread.
@@ -99,6 +105,171 @@ impl Pool {
     pub fn global() -> &'static Pool {
         static GLOBAL: OnceLock<Pool> = OnceLock::new();
         GLOBAL.get_or_init(|| Pool::new(configured_threads()))
+    }
+}
+
+type Task<T> = Box<dyn FnOnce() -> T + Send>;
+
+/// Run a task, catching a panic so it can be re-raised on the caller.
+fn run<T>(task: Task<T>) -> thread::Result<T> {
+    panic::catch_unwind(AssertUnwindSafe(task))
+}
+
+/// Jobs fanned out over a [`Pool`] whose results come back in
+/// submission order.
+///
+/// Pushed jobs wait in a queue private to this fan-out. Up to
+/// `width − 1` pool workers drain it as helpers (see
+/// [`Ordered::width`]), and the caller runs queued jobs itself whenever
+/// [`pop`] needs a result that is not ready yet (help-first, like the
+/// GEMM driver). A thread blocks only once the queue is empty, that is
+/// when every outstanding job is already running somewhere, so a job
+/// that itself uses the pool (a GEMM inside a backward pass) cannot
+/// deadlock it. A panicking job is caught where it ran and re-raised by
+/// the [`pop`] that reaches it.
+///
+/// With a width of 1 each job runs inline inside [`push`]: the caller
+/// gets exactly the serial schedule.
+///
+/// [`pop`]: Ordered::pop
+/// [`push`]: Ordered::push
+pub struct Ordered<'p, T> {
+    pool: &'p Pool,
+    helpers: usize,
+    /// Helper loops currently submitted or running.
+    active: Arc<AtomicUsize>,
+    queue_tx: Sender<(usize, Task<T>)>,
+    queue_rx: Receiver<(usize, Task<T>)>,
+    done_tx: Sender<(usize, thread::Result<T>)>,
+    done_rx: Receiver<(usize, thread::Result<T>)>,
+    /// Results of jobs `next..next + ready.len()`, `None` until they
+    /// arrive.
+    ready: VecDeque<Option<thread::Result<T>>>,
+    next: usize,
+}
+
+impl<'p, T: Send + 'static> Ordered<'p, T> {
+    /// An empty fan-out over `pool`.
+    pub fn new(pool: &'p Pool) -> Self {
+        let (queue_tx, queue_rx) = channel::unbounded();
+        let (done_tx, done_rx) = channel::unbounded();
+        Ordered {
+            pool,
+            helpers: pool.threads().min(default_threads()) - 1,
+            active: Arc::new(AtomicUsize::new(0)),
+            queue_tx,
+            queue_rx,
+            done_tx,
+            done_rx,
+            ready: VecDeque::new(),
+            next: 0,
+        }
+    }
+
+    /// Threads that work on this fan-out, the caller included: the
+    /// pool's width, capped at the machine's parallelism as in the GEMM
+    /// driver (more would only time-slice the same cores).
+    pub fn width(&self) -> usize {
+        self.helpers + 1
+    }
+
+    /// Jobs pushed whose results have not been popped yet.
+    pub fn in_flight(&self) -> usize {
+        self.ready.len()
+    }
+
+    /// Queue a job; its result comes out of [`Ordered::pop`] after the
+    /// results of every job pushed before it.
+    pub fn push(&mut self, job: impl FnOnce() -> T + Send + 'static) {
+        if self.helpers == 0 {
+            self.ready.push_back(Some(run(Box::new(job))));
+            return;
+        }
+        let seq = self.next + self.ready.len();
+        self.ready.push_back(None);
+        // Cannot fail: this fan-out holds the receiver.
+        let _ = self.queue_tx.send((seq, Box::new(job)));
+        if self.active.fetch_add(1, Ordering::AcqRel) >= self.helpers {
+            self.active.fetch_sub(1, Ordering::AcqRel);
+            return; // every helper slot is taken; a running helper gets it
+        }
+        let (queue, done) = (self.queue_rx.clone(), self.done_tx.clone());
+        let (active, helpers) = (Arc::clone(&self.active), self.helpers);
+        self.pool.submit(Box::new(move || loop {
+            while let Ok((seq, task)) = queue.try_recv() {
+                let _ = done.send((seq, run(task)));
+            }
+            active.fetch_sub(1, Ordering::AcqRel);
+            // A push that found every slot taken may have queued a job
+            // after the last look: take it, unless other helpers hold
+            // every slot (they will).
+            if queue.is_empty() {
+                return;
+            }
+            if active.fetch_add(1, Ordering::AcqRel) >= helpers {
+                active.fetch_sub(1, Ordering::AcqRel);
+                return;
+            }
+        }));
+    }
+
+    /// The result of the oldest unpopped job if it has finished;
+    /// never blocks.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of the job whose result it would return.
+    pub fn try_pop(&mut self) -> Option<T> {
+        while let Ok((seq, result)) = self.done_rx.try_recv() {
+            self.fill(seq, result);
+        }
+        let result = self.ready.front_mut()?.take()?;
+        self.ready.pop_front();
+        self.next += 1;
+        Some(result.unwrap_or_else(|payload| panic::resume_unwind(payload)))
+    }
+
+    /// The result of the oldest unpopped job, or `None` when nothing is
+    /// in flight. While that result is outstanding the caller runs
+    /// queued jobs itself, and only blocks once all of them are taken.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of the job whose result it would return.
+    pub fn pop(&mut self) -> Option<T> {
+        loop {
+            if let Some(value) = self.try_pop() {
+                return Some(value);
+            }
+            if self.ready.is_empty() {
+                return None;
+            }
+            let (seq, result) = match self.queue_rx.try_recv() {
+                Ok((seq, task)) => (seq, run(task)),
+                // Every outstanding job is running or finished, so a
+                // result is on its way. The fan-out holds a sender
+                // itself; the channel never disconnects.
+                Err(_) => match self.done_rx.recv() {
+                    Ok(done) => done,
+                    Err(_) => continue,
+                },
+            };
+            self.fill(seq, result);
+        }
+    }
+
+    fn fill(&mut self, seq: usize, result: thread::Result<T>) {
+        if let Some(slot) = self.ready.get_mut(seq - self.next) {
+            *slot = Some(result);
+        }
+    }
+}
+
+impl<T> Drop for Ordered<'_, T> {
+    /// Drop queued jobs unrun; jobs already running finish and their
+    /// results are discarded.
+    fn drop(&mut self) {
+        while self.queue_rx.try_recv().is_ok() {}
     }
 }
 
@@ -185,6 +356,78 @@ mod tests {
         let b = Pool::global() as *const Pool;
         assert_eq!(a, b);
         assert!(Pool::global().threads() >= 1);
+    }
+
+    #[test]
+    fn ordered_results_come_back_in_push_order() {
+        for threads in [1, 2, 4] {
+            let pool = Pool::new(threads);
+            let mut fan = Ordered::new(&pool);
+            let mut got = Vec::new();
+            for i in 0..64u64 {
+                // Later jobs finish first unless results are reordered.
+                fan.push(move || {
+                    thread::sleep(std::time::Duration::from_micros(64 - i));
+                    i
+                });
+                if fan.in_flight() > threads {
+                    got.extend(fan.pop());
+                }
+            }
+            while let Some(v) = fan.pop() {
+                got.push(v);
+            }
+            assert_eq!(got, (0..64).collect::<Vec<_>>(), "threads={threads}");
+            assert_eq!(fan.in_flight(), 0);
+            assert!(fan.pop().is_none());
+        }
+    }
+
+    #[test]
+    fn ordered_one_thread_pool_runs_jobs_inline() {
+        let pool = Pool::new(1);
+        let mut fan = Ordered::new(&pool);
+        let caller = thread::current().id();
+        fan.push(move || thread::current().id() == caller);
+        assert_eq!(fan.try_pop(), Some(true));
+        assert_eq!(fan.try_pop(), None);
+    }
+
+    #[test]
+    fn ordered_jobs_may_fan_out_on_the_same_pool() {
+        // Every worker is busy with an outer job whose inner fan-out
+        // needs the same pool: the inner pops run their own jobs.
+        let pool = Arc::new(Pool::new(2));
+        let mut outer = Ordered::new(&pool);
+        for i in 0..8usize {
+            let inner_pool = Arc::clone(&pool);
+            outer.push(move || {
+                let mut inner = Ordered::new(&inner_pool);
+                for j in 0..8usize {
+                    inner.push(move || i * 8 + j);
+                }
+                std::iter::from_fn(|| inner.pop()).sum::<usize>()
+            });
+        }
+        let sums: Vec<usize> = std::iter::from_fn(|| outer.pop()).collect();
+        let want: Vec<usize> = (0..8).map(|i| (0..8).map(|j| i * 8 + j).sum()).collect();
+        assert_eq!(sums, want);
+    }
+
+    #[test]
+    fn ordered_reraises_a_job_panic_on_the_caller() {
+        let pool = Pool::new(2);
+        let mut fan = Ordered::new(&pool);
+        fan.push(|| 1);
+        fan.push(|| -> i32 { panic!("job failed") });
+        fan.push(|| 3);
+        assert_eq!(fan.pop(), Some(1));
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| fan.pop()));
+        assert!(caught.is_err());
+        // The fan-out and the worker that ran the job both survive it.
+        assert_eq!(fan.pop(), Some(3));
+        fan.push(|| 2);
+        assert_eq!(fan.pop(), Some(2));
     }
 
     #[test]

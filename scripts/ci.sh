@@ -37,6 +37,12 @@ cargo test --offline -q -p qrec-serve --test restart_recovery
 echo "==> int8 quant equivalence smoke (agreement gate + QREC_THREADS 1/2/8 reruns)"
 cargo test --offline -q -p qrec-nn --test quant_equivalence
 
+echo "==> training determinism (bitwise weights/losses/grad norms at QREC_THREADS 1/2/8)"
+cargo test --offline -q -p qrec-core --test train_determinism
+
+echo "==> benchmark self-tests (perfbench)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> serve front-end suites vs the event loop (incl. lock-order sanitizer)"
 # The event loop is the default front end, so these suites exercise it
 # end-to-end: protocol integration, framing robustness (partial frames,
